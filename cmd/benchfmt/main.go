@@ -211,8 +211,11 @@ const (
 
 // compare prints a per-benchmark delta table of the current document
 // against a baseline and reports whether the gate passes.  Metrics are
-// compared on their minima (the least-noise repetition); benchmarks or
-// metrics absent from the baseline are reported but never fail.
+// compared on their minima (the least-noise repetition).  A run key
+// (name-procs) absent from the baseline fails the gate: a renamed
+// bench, or a run at another GOMAXPROCS, would otherwise pass without
+// being compared, so it must force an explicit baseline refresh.  A
+// metric absent from a baseline entry is reported but never fails.
 func compare(w io.Writer, doc, base *Doc, name string) bool {
 	fmt.Fprintf(w, "\nvs %s:\n", name)
 	keys := make([]string, 0, len(doc.Summary))
@@ -224,7 +227,8 @@ func compare(w io.Writer, doc, base *Doc, name string) bool {
 	for _, key := range keys {
 		bm := base.Summary[key]
 		if bm == nil {
-			fmt.Fprintf(w, "  %-44s (not in baseline)\n", key)
+			fmt.Fprintf(w, "  %-44s FAIL (not in baseline; refresh it with make bench)\n", key)
+			ok = false
 			continue
 		}
 		units := make([]string, 0, len(doc.Summary[key]))

@@ -102,6 +102,22 @@ func TestAgainstPassesWithinTolerance(t *testing.T) {
 	}
 }
 
+// A run key the baseline lacks — here the same bench at another
+// GOMAXPROCS — must fail the gate instead of passing uncompared.
+func TestAgainstFailsOnKeyNotInBaseline(t *testing.T) {
+	base := writeFile(t, "base.json", `{"summary": {"BenchmarkFoo-1": {"ns/op": {"count": 1, "min": 1000000, "mean": 1000000, "max": 1000000}}}}`)
+	code, stdout, _ := runWith(t, benchStream, "-against", base)
+	if code == 0 {
+		t.Fatalf("exit 0 with a run key missing from the baseline:\n%s", stdout)
+	}
+	if !strings.Contains(stdout, "BenchmarkFoo-8") || !strings.Contains(stdout, "not in baseline") {
+		t.Errorf("output does not name the missing key:\n%s", stdout)
+	}
+	if strings.Contains(stdout, "no regressions") {
+		t.Errorf("output claims no regressions:\n%s", stdout)
+	}
+}
+
 func TestParseLine(t *testing.T) {
 	e, ok := parseLine("BenchmarkBar-16   	     100	     52341 ns/op	  12 extra/op")
 	if !ok || e.Name != "BenchmarkBar" || e.Procs != 16 || e.Runs != 100 {

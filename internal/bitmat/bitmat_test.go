@@ -5,101 +5,55 @@ import (
 	"testing"
 )
 
-func randSets(rng *rand.Rand, n, universe int) [][]int {
-	out := make([][]int, n)
-	for i := range out {
-		seen := make(map[int]bool)
-		for k := 0; k < rng.Intn(universe+1); k++ {
-			j := rng.Intn(universe)
-			if !seen[j] {
-				seen[j] = true
-				out[i] = append(out[i], j)
-			}
-		}
-	}
-	return out
-}
-
-func naiveSubset(a, b []int) bool {
-	in := make(map[int]bool)
-	for _, j := range b {
-		in[j] = true
-	}
-	for _, j := range a {
-		if !in[j] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestVecOpsAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		universe := 1 + rng.Intn(300) // spans 1..5 words incl. partial tails
-		sets := randSets(rng, 2, universe)
-		a, b := NewVec(universe), NewVec(universe)
-		for _, j := range sets[0] {
-			a.Set(j)
-		}
-		for _, j := range sets[1] {
-			b.Set(j)
-		}
-		if got, want := a.Popcount(), len(sets[0]); got != want {
-			t.Fatalf("popcount %d != %d", got, want)
-		}
-		if got, want := a.SubsetOf(b), naiveSubset(sets[0], sets[1]); got != want {
-			t.Fatalf("subset %v != %v (%v vs %v)", got, want, sets[0], sets[1])
-		}
-		inter := 0
-		for _, j := range sets[0] {
-			if b.Has(j) {
-				inter++
+		v := make(Vec, Words(universe))
+		want := make([]bool, universe)
+		for k := 0; k < 2*universe; k++ {
+			i := rng.Intn(universe)
+			if rng.Intn(3) == 0 {
+				v.Clear(i)
+				want[i] = false
+			} else {
+				v.Set(i)
+				want[i] = true
 			}
 		}
-		if got := a.AndPopcount(b); got != inter {
-			t.Fatalf("and-popcount %d != %d", got, inter)
-		}
-		if got, want := a.Intersects(b), inter > 0; got != want {
-			t.Fatalf("intersects %v != %v", got, want)
-		}
-		var bitsOut []int
-		bitsOut = a.Bits(bitsOut[:0])
-		if len(bitsOut) != len(sets[0]) {
-			t.Fatalf("bits returned %d indices, want %d", len(bitsOut), len(sets[0]))
-		}
-		for k := 1; k < len(bitsOut); k++ {
-			if bitsOut[k-1] >= bitsOut[k] {
-				t.Fatal("bits not ascending")
+		var got []int
+		v.Range(func(i int) bool {
+			got = append(got, i)
+			return true
+		})
+		n := 0
+		for i, w := range want {
+			if v.Has(i) != w {
+				t.Fatalf("trial %d: Has(%d) = %v, want %v", trial, i, !w, w)
+			}
+			if w {
+				if n >= len(got) || got[n] != i {
+					t.Fatalf("trial %d: Range visited %v, missing %d in order", trial, got, i)
+				}
+				n++
 			}
 		}
-		c := NewVec(universe)
-		c.Copy(a)
-		c.AndNot(b)
-		for _, j := range sets[0] {
-			if c.Has(j) == b.Has(j) {
-				t.Fatal("andnot wrong")
-			}
+		if n != len(got) {
+			t.Fatalf("trial %d: Range visited %d bits, want %d", trial, len(got), n)
 		}
-		c.Or(b)
-		for _, j := range sets[1] {
-			if !c.Has(j) {
-				t.Fatal("or wrong")
+		v.Zero()
+		for i := range want {
+			if v.Has(i) {
+				t.Fatalf("trial %d: bit %d survived Zero", trial, i)
 			}
 		}
 	}
 }
 
-func TestVecFirstRangeEarlyStop(t *testing.T) {
-	v := NewVec(200)
-	if v.First() != -1 {
-		t.Fatal("empty vec has a first bit")
-	}
+func TestVecRangeEarlyStop(t *testing.T) {
+	v := make(Vec, Words(200))
 	v.Set(77)
 	v.Set(140)
-	if v.First() != 77 {
-		t.Fatalf("first = %d", v.First())
-	}
 	count := 0
 	v.Range(func(i int) bool {
 		count++
@@ -107,77 +61,5 @@ func TestVecFirstRangeEarlyStop(t *testing.T) {
 	})
 	if count != 1 {
 		t.Fatalf("range visited %d bits after stop", count)
-	}
-}
-
-func TestMatrixViewsStayInSync(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		nr, nc := 1+rng.Intn(80), 1+rng.Intn(130)
-		rows := randSets(rng, nr, nc)
-		m := Build(rows, nc)
-		check := func() {
-			for i := 0; i < nr; i++ {
-				for j := 0; j < nc; j++ {
-					if m.Row(i).Has(j) != m.Col(j).Has(i) {
-						t.Fatalf("orientation mismatch at (%d,%d)", i, j)
-					}
-				}
-			}
-		}
-		check()
-		// Kill a few random rows and columns; views must stay in sync.
-		for k := 0; k < 5; k++ {
-			if rng.Intn(2) == 0 {
-				m.KillRow(rng.Intn(nr))
-			} else {
-				m.KillCol(rng.Intn(nc))
-			}
-		}
-		check()
-		for i := 0; i < nr; i++ {
-			if m.RowLen(i) != m.Row(i).Popcount() {
-				t.Fatal("rowlen mismatch")
-			}
-		}
-	}
-}
-
-func TestCoverKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		nr, nc := 1+rng.Intn(60), 1+rng.Intn(90)
-		rows := randSets(rng, nr, nc)
-		m := Build(rows, nc)
-		sel := NewVec(nc)
-		var chosen []int
-		for j := 0; j < nc; j++ {
-			if rng.Intn(3) == 0 {
-				sel.Set(j)
-				chosen = append(chosen, j)
-			}
-		}
-		counts := make([]int, nr)
-		m.CoverCounts(sel, counts)
-		allCovered := true
-		for i, r := range rows {
-			want := 0
-			for _, j := range r {
-				for _, c := range chosen {
-					if c == j {
-						want++
-					}
-				}
-			}
-			if counts[i] != want {
-				t.Fatalf("row %d count %d != %d", i, counts[i], want)
-			}
-			if want == 0 {
-				allCovered = false
-			}
-		}
-		if m.IsCover(sel) != allCovered {
-			t.Fatalf("iscover %v != %v", m.IsCover(sel), allCovered)
-		}
 	}
 }

@@ -216,3 +216,34 @@ func TestTranspositionDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyCoverRejectsNonCover: the incumbent check must fire on any
+// instance shape, including wide ultra-sparse and tiny ones — a check
+// that only runs on some shapes passes the rest vacuously.
+func TestVerifyCoverRejectsNonCover(t *testing.T) {
+	wide := &matrix.Problem{NCol: 5000, Cost: make([]int, 5000)}
+	var sol []int
+	for i := 0; i < 300; i++ {
+		wide.Rows = append(wide.Rows, []int{i * 16})
+		sol = append(sol, i*16)
+	}
+	tiny := matrix.MustNew([][]int{{0}, {1}}, 2, nil)
+	for _, tc := range []struct {
+		name string
+		p    *matrix.Problem
+		sol  []int
+	}{
+		{"wide-sparse", wide, sol[1:]},
+		{"tiny", tiny, []int{0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("verifyCover accepted a non-cover")
+				}
+			}()
+			verifyCover(tc.p, tc.sol)
+		})
+	}
+	verifyCover(wide, sol) // a true cover passes
+}

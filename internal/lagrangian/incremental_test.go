@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ucp/internal/bitmat"
 	"ucp/internal/matrix"
 )
 
@@ -23,21 +22,11 @@ func refSubgradient(p *matrix.Problem, prm Params, init *Multipliers, ub0 int) *
 		return res
 	}
 
-	var bm *bitmat.Matrix
-	if matrix.DenseEligible(p) {
-		bm = bitmat.Build(p.Rows, p.NCol)
-	}
-	refGreedy := func(ctilde []float64, v GammaVariant) []int {
-		if bm != nil && v != GammaRowImportance {
-			return GreedyLagrangianDense(p, bm, ctilde, v)
-		}
-		return GreedyLagrangian(p, ctilde, v)
-	}
 	refBest := func(ctilde []float64) []int {
 		var best []int
 		bestCost := math.MaxInt
 		for v := GammaPerRow; v <= GammaRowImportance; v++ {
-			sol := refGreedy(ctilde, v)
+			sol := GreedyLagrangian(p, ctilde, v)
 			if sol == nil {
 				continue
 			}
@@ -122,7 +111,7 @@ func refSubgradient(p *matrix.Problem, prm Params, init *Multipliers, ub0 int) *
 		}
 
 		if improved || k%prm.GreedyEvery == 0 {
-			sol := refGreedy(ctilde, variant)
+			sol := GreedyLagrangian(p, ctilde, variant)
 			variant = (variant + 1) % 4
 			if sol != nil {
 				if c := p.CostOf(sol); c < res.BestCost {

@@ -391,3 +391,14 @@ func TestSubgradientArbitraryInitStillSound(t *testing.T) {
 		}
 	}
 }
+
+// TestGreedyInfeasible: a row no column covers must yield nil.
+func TestGreedyInfeasible(t *testing.T) {
+	p := &matrix.Problem{Rows: [][]int{{0}, {}}, NCol: 2, Cost: []int{1, 1}}
+	ctilde := []float64{1, 1}
+	for v := GammaPerRow; v <= GammaRowImportance; v++ {
+		if got := GreedyLagrangian(p, ctilde, v); got != nil {
+			t.Fatalf("variant %d returned %v on infeasible problem", v, got)
+		}
+	}
+}

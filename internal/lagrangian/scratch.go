@@ -42,9 +42,6 @@ type Scratch struct {
 	// negCt mirrors the sign of every cached c̃_j (bit j set ⇔ c̃_j ≤ 0)
 	// so both λ-refresh paths maintain cnt by sign flips alone.
 	negCt bitmat.Vec
-	// Dense sidecar for the greedy kernels, rebuilt in place per phase.
-	bm       bitmat.Matrix
-	useDense bool
 
 	gr greedyRun
 	da daScratch
@@ -60,12 +57,10 @@ type greedyRun struct {
 	w0        []float64
 	rowWeight []float64
 	nCovered  int
-	uncovered bitmat.Vec
-	gcnt      []int32
 	cand      []int32
 	pos       []int32
 	// stamp/stampEpoch tell a column's first touch in the current
-	// build from a later one, so the count-derived start (greedySparse
+	// build from a later one, so the count-derived start (greedy
 	// with rowCnt) initialises only the columns it actually meets.
 	stamp      []uint32
 	stampEpoch uint32
@@ -115,14 +110,11 @@ func growBool(s []bool, n int) []bool {
 	return s[:n]
 }
 
-// attach sizes the phase-wide state for p: the dense sidecar (when the
-// problem qualifies) and the row cost minima c̄.
+// attach sizes the phase-wide state for p: the row cost minima c̄ and
+// the scarcity weights of the fourth greedy variant.
 func (sc *Scratch) attach(p *matrix.Problem) {
-	nr := len(p.Rows)
-	sc.cbar = growF64(sc.cbar, nr)
-	nnz := 0
+	sc.cbar = growF64(sc.cbar, len(p.Rows))
 	for i, r := range p.Rows {
-		nnz += len(r)
 		cb := math.Inf(1)
 		for _, j := range r {
 			if float64(p.Cost[j]) < cb {
@@ -130,17 +122,6 @@ func (sc *Scratch) attach(p *matrix.Problem) {
 			}
 		}
 		sc.cbar[i] = cb
-	}
-	// The dense greedy kernel regathers candidate counts from the
-	// uncovered rows on every pick, while the sparse kernel maintains
-	// them incrementally and pays an O(ncols) argmin instead.  The
-	// rescans only win when covering steps retire many rows at once —
-	// long rows — so route greedy to the bit kernel only above ~1/8
-	// density; both kernels build identical covers, making the split a
-	// pure cost decision.
-	sc.useDense = matrix.DenseEligible(p) && 8*nnz >= nr*p.NCol
-	if sc.useDense {
-		sc.bm.BuildFrom(p.Rows, p.NCol)
 	}
 	sc.prepGreedyWeights(p)
 }

@@ -311,7 +311,7 @@ func SubgradientScratch(p *matrix.Problem, prm Params, init *Multipliers, ub0 in
 
 		// ----- primal heuristic on the lagrangian costs -----
 		if improved || k%prm.GreedyEvery == 0 {
-			sol := sc.greedyAuto(p, ctilde, variant, cnt)
+			sol := sc.greedy(p, ctilde, variant, cnt)
 			variant = (variant + 1) % 4
 			if sol != nil {
 				if c := p.CostOf(sol); c < res.BestCost {
@@ -384,7 +384,7 @@ func SubgradientScratch(p *matrix.Problem, prm Params, init *Multipliers, ub0 in
 		}
 		// Both refresh paths below produce bit-identical c̃ and cnt — a
 		// full column gather replays the exact subtraction order of a
-		// rebuild — so the dense/sparse choice is purely a cost decision:
+		// rebuild — so the full/selective choice is purely a cost decision:
 		// when most of the matrix changed, straight loops beat paying
 		// bitset marking on top of the same regathers.  The volume proxy
 		// is the changed-row count against the row count (average row
@@ -470,7 +470,7 @@ func SubgradientScratch(p *matrix.Problem, prm Params, init *Multipliers, ub0 in
 					nch++
 				}
 			}
-			// Same dense/sparse split as the primal side: the full path
+			// Same full/selective split as the primal side: the full path
 			// regathers every e, m and g — bit-identical to the selective
 			// refresh, since unchanged inputs regather to unchanged bits.
 			if nch*4 >= nc {

@@ -111,11 +111,22 @@ func MustNew(rows [][]int, ncol int, cost []int) *Problem {
 	return p
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy with every row sliced out of one backing
+// array: one allocation for the entries instead of one per row.  Each
+// row's capacity ends where the next row starts (cap = len), so an
+// append to a cloned row reallocates instead of overwriting its
+// neighbour.
 func (p *Problem) Clone() *Problem {
+	nnz := 0
+	for _, r := range p.Rows {
+		nnz += len(r)
+	}
+	flat := make([]int, 0, nnz)
 	q := &Problem{Rows: make([][]int, len(p.Rows)), NCol: p.NCol, Cost: append([]int(nil), p.Cost...)}
 	for i, r := range p.Rows {
-		q.Rows[i] = append([]int(nil), r...)
+		lo := len(flat)
+		flat = append(flat, r...)
+		q.Rows[i] = flat[lo:len(flat):len(flat)]
 	}
 	return q
 }
@@ -304,10 +315,8 @@ type ReduceTrace struct {
 }
 
 // ReduceTrackedTrace is ReduceTrackedWorkers plus a fact trace for
-// later incremental replay (see ReplayReduce).  Tracing pins the
-// reduction to the sparse engine — whose output is bit-identical to
-// the dense one by contract — and costs one extra O(rows+cols) scratch
-// pass per fixpoint round.
+// later incremental replay (see ReplayReduce).  Tracing costs one extra
+// O(rows+cols) scratch pass per fixpoint round.
 func ReduceTrackedTrace(p *Problem, tr *budget.Tracker, workers int) (*TrackedReduction, *ReduceTrace) {
 	trace := &ReduceTrace{}
 	return reduceTrackedT(p, tr, workers, trace, nil), trace
@@ -379,17 +388,6 @@ func reduceTracked(p *Problem, tr *budget.Tracker, workers int) *TrackedReductio
 // replayed candidate kills; see reduceScratch.colHints.
 func reduceTrackedT(p *Problem, tr *budget.Tracker, workers int, trace *ReduceTrace, colHints [][2]int32) *TrackedReduction {
 	res := &TrackedReduction{}
-	// The dense bit-matrix engine and this sparse loop implement the
-	// identical fixpoint (same orders, same tie-breaks); the choice is
-	// purely a data-layout decision.  Tracing needs the sparse loop's
-	// witness bookkeeping, so it pins the sparse engine.
-	useDense := trace == nil &&
-		(reduceOverride == 2 || (reduceOverride == 0 && DenseEligible(p)))
-	if useDense {
-		denseReduce(p, tr, res, workers)
-		sort.Ints(res.Essential)
-		return res
-	}
 	cur := p.Clone()
 	origin := make([]int, len(cur.Rows))
 	for i := range origin {
@@ -451,8 +449,7 @@ func reduceTrackedT(p *Problem, tr *budget.Tracker, workers int, trace *ReduceTr
 				}
 			}
 			if w == 0 {
-				// Match the dense engine's decode: no surviving rows
-				// means nil slices, not empty ones.
+				// No surviving rows means nil slices, not empty ones.
 				cur.Rows, origin = nil, nil
 			} else {
 				cur.Rows = cur.Rows[:w]
@@ -502,8 +499,7 @@ func dropSupersetRows(p *Problem, origin []int, st *reduceScratch) ([]int, bool)
 	// Sort candidates by (length, index), packed into int64 keys so the
 	// sort runs without a comparator closure.  Subsets then always
 	// precede their supersets, and the index tie-break makes the
-	// survivor among duplicate rows canonical (smallest row index), so
-	// the sparse and dense reduction engines agree exactly.
+	// survivor among duplicate rows canonical (smallest row index).
 	st.keys = growI64(st.keys, n)
 	for i, r := range p.Rows {
 		st.keys[i] = int64(len(r))<<32 | int64(i)

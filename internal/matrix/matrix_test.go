@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -323,10 +324,56 @@ func TestReduceTrackedProvenance(t *testing.T) {
 	}
 }
 
+// TestReduceCoreRowsDoNotAlias pins the cap = len invariant of the
+// reduction's flat row copy: appending to one core row — also a row
+// that column dominance shrank in place — must never write into the
+// next row's entries.
+func TestReduceCoreRowsDoNotAlias(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	checked := 0
+	for trial := 0; trial < 200; trial++ {
+		p := randReduceProblem(rng, 30, 30, 3, false)
+		core := ReduceTracked(p).Core
+		for i := 0; i+1 < len(core.Rows); i++ {
+			next := append([]int(nil), core.Rows[i+1]...)
+			core.Rows[i] = append(core.Rows[i], -1)
+			if !reflect.DeepEqual(core.Rows[i+1], next) {
+				t.Fatalf("trial %d: append to core row %d changed row %d: %v, want %v",
+					trial, i, i+1, core.Rows[i+1], next)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no instance kept two core rows")
+	}
+}
+
 func TestFixColumnTracked(t *testing.T) {
 	p := MustNew([][]int{{0, 1}, {1, 2}, {2}}, 3, nil)
 	q, kept := p.FixColumnTracked(1)
 	if len(q.Rows) != 1 || len(kept) != 1 || kept[0] != 2 {
 		t.Fatalf("rows=%v kept=%v", q.Rows, kept)
 	}
+}
+
+func randReduceProblem(rng *rand.Rand, maxRows, maxCols, maxCost int, allowEmpty bool) *Problem {
+	nr := 1 + rng.Intn(maxRows)
+	nc := 1 + rng.Intn(maxCols)
+	rows := make([][]int, nr)
+	for i := range rows {
+		for j := 0; j < nc; j++ {
+			if rng.Intn(3) == 0 {
+				rows[i] = append(rows[i], j)
+			}
+		}
+		if len(rows[i]) == 0 && !allowEmpty {
+			rows[i] = append(rows[i], rng.Intn(nc))
+		}
+	}
+	cost := make([]int, nc)
+	for j := range cost {
+		cost[j] = 1 + rng.Intn(maxCost)
+	}
+	return &Problem{Rows: rows, NCol: nc, Cost: cost}
 }

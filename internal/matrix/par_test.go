@@ -35,26 +35,21 @@ func sameTracked(t *testing.T, label string, got, want *TrackedReduction) {
 }
 
 // TestReduceWorkersBitIdentical is the determinism contract of the
-// sharded dominance passes: for any worker count, both engines must
+// sharded dominance passes: for any worker count, the engine must
 // reproduce the sequential reduction exactly — same essentials, same
 // core, same provenance.  The shard floor is dropped to 1 so even the
 // small random instances genuinely fan out goroutines (the suite runs
 // under -race in `make check`).
 func TestReduceWorkersBitIdentical(t *testing.T) {
 	defer SetParMinShard(1)()
-	for _, engine := range []string{"sparse", "dense"} {
-		t.Run(engine, func(t *testing.T) {
-			defer SetReduceEngine(engine)()
-			rng := rand.New(rand.NewSource(47))
-			for trial := 0; trial < 150; trial++ {
-				p := randReduceProblem(rng, 40, 40, 3, trial%7 == 0)
-				want := ReduceTrackedWorkers(p, nil, 1)
-				for _, workers := range []int{2, 4, 8} {
-					got := ReduceTrackedWorkers(p, nil, workers)
-					sameTracked(t, engine, got, want)
-				}
-			}
-		})
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 150; trial++ {
+		p := randReduceProblem(rng, 40, 40, 3, trial%7 == 0)
+		want := ReduceTrackedWorkers(p, nil, 1)
+		for _, workers := range []int{2, 4, 8} {
+			got := ReduceTrackedWorkers(p, nil, workers)
+			sameTracked(t, "small", got, want)
+		}
 	}
 }
 
@@ -80,7 +75,6 @@ func TestReduceWorkersBitIdenticalLarge(t *testing.T) {
 		cost[j] = 1 + rng.Intn(3)
 	}
 	p := MustNew(rows, 700, cost)
-	defer SetReduceEngine("sparse")()
 	want := ReduceTrackedWorkers(p, nil, 1)
 	for _, workers := range []int{2, 4, 8} {
 		sameTracked(t, "large", ReduceTrackedWorkers(p, nil, workers), want)

@@ -3,8 +3,6 @@ package matrix
 import (
 	"slices"
 	"sort"
-
-	"ucp/internal/bitmat"
 )
 
 // Workspace holds the scratch buffers of the irredundant-cover
@@ -184,13 +182,4 @@ func (p *Problem) irredundantWs(ws *Workspace, cols []int, dedup bool) []int {
 		}
 	}
 	return ws.out
-}
-
-// IrredundantDenseWs is IrredundantDense against caller-owned scratch;
-// same contract as IrredundantWs.  bm must hold exactly p.Rows, so the
-// CSC mirror yields the same column row sets as bm's bit columns and
-// the two variants share one kernel.
-func (p *Problem) IrredundantDenseWs(ws *Workspace, bm *bitmat.Matrix, cols []int) []int {
-	_ = bm
-	return p.IrredundantWs(ws, cols)
 }

@@ -25,7 +25,7 @@ import (
 // (DisableImplicit): the ZDD phase re-enumerates rows in canonical
 // order, which destroys the row correspondence a delta carries.  On
 // instances the implicit phase would shortcut anyway (dense-eligible
-// cores) the two paths produce identical reductions by contract.
+// cores) both paths run the same explicit reduction.
 
 // SolveState is the retained state of a SolveKeep solve, the parent
 // side of an incremental re-solve.  It is immutable once returned and

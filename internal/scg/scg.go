@@ -143,7 +143,8 @@ type Stats struct {
 	// ZDDLiveNodes / ZDDPlainNodes profile the implicit phase's final
 	// family: live chain-reduced nodes versus the plain-equivalent
 	// node count a chain-free ZDD would store.  Their ratio is the
-	// chain-compression factor; both stay zero on the dense shortcut.
+	// chain-compression factor; both stay zero on the explicit-first
+	// shortcut.
 	ZDDLiveNodes  int
 	ZDDPlainNodes int
 	FixSteps      int // column-fixing iterations over all runs
@@ -152,8 +153,8 @@ type Stats struct {
 	// ImplicitAborted reports that the ZDD phase hit its node cap (or
 	// the deadline) and the solve fell back to the explicit path.
 	ImplicitAborted bool
-	// ImplicitDense reports that the implicit phase ran on the dense
-	// bit-matrix engine instead of the ZDD (small dense instances);
+	// ImplicitDense reports that the implicit phase skipped the ZDD and
+	// ran the explicit reductions directly (small dense instances);
 	// ZDDNodes is then zero by construction.
 	ImplicitDense bool
 	// CacheHits / CacheMisses report how Options.Cache served this

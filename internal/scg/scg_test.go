@@ -232,7 +232,7 @@ func TestStatsPopulated(t *testing.T) {
 		t.Fatal("total time not measured")
 	}
 	// The implicit phase ran on exactly one engine: ZDD nodes were
-	// allocated, or the dense shortcut claimed the instance.
+	// allocated, or the explicit-first shortcut claimed the instance.
 	if res.Stats.ZDDNodes == 0 && !res.Stats.ImplicitDense {
 		t.Fatal("implicit phase did not run")
 	}
@@ -246,6 +246,31 @@ func TestStatsPopulated(t *testing.T) {
 	res = Solve(p, Options{NumIter: 2, Seed: 1})
 	if res.Stats.ZDDNodes == 0 {
 		t.Fatal("ZDD phase did not run")
+	}
+}
+
+func TestDenseEligibleThresholds(t *testing.T) {
+	// A mid-size, reasonably dense instance qualifies.
+	rng := rand.New(rand.NewSource(43))
+	p := randomProblem(rng, 200, 100, 1)
+	for len(p.Rows) < denseMinRows {
+		p.Rows = append(p.Rows, []int{0})
+	}
+	if !denseEligible(p) {
+		t.Fatal("mid-size dense instance rejected")
+	}
+	// An ultra-sparse, very wide matrix must stay on the ZDD path: one
+	// element per row over a huge universe.
+	wide := &matrix.Problem{NCol: 100000, Cost: make([]int, 100000)}
+	for i := 0; i < 5000; i++ {
+		wide.Rows = append(wide.Rows, []int{i * 17 % 100000})
+	}
+	if denseEligible(wide) {
+		t.Fatal("ultra-sparse wide matrix accepted")
+	}
+	// Degenerate sizes.
+	if denseEligible(&matrix.Problem{NCol: 4, Cost: []int{1, 1, 1, 1}}) {
+		t.Fatal("empty problem accepted")
 	}
 }
 

@@ -28,17 +28,58 @@ type ImplicitResult struct {
 	// Collections counts the mark-sweep garbage collections the phase
 	// ran to stay under the node cap (see the GC ladder below).
 	Collections int
-	// Dense is set when the phase ran on the dense bit-matrix engine
-	// instead of the ZDD: the instance was small and dense enough that
-	// word-parallel explicit reductions beat ZDD operations outright.
+	// Dense is set when the phase skipped the ZDD and ran the explicit
+	// reductions directly because the instance passed denseEligible.
 	// ZDDNodes and Passes are then zero.
 	Dense bool
 }
 
-// denseImplicit gates the dense shortcut of ImplicitReduceBudget; the
-// tests flip it to exercise the ZDD engine on instances the shortcut
-// would otherwise claim.
+// denseImplicit gates the explicit-first shortcut of
+// ImplicitReduceBudget; the tests flip it to exercise the ZDD engine
+// on instances the shortcut would otherwise claim.
 var denseImplicit = true
+
+// Thresholds of the explicit-first shortcut (see denseEligible).  They
+// decide which path reduces a core, and the ZDD path returns core rows
+// in a different order from the explicit one, so changing them changes
+// solver results, not just speed.
+const (
+	denseMinRows = 4       // fewest rows
+	denseMaxRows = 8192    // most rows: the row pass is quadratic in rows
+	denseMaxCols = 8192    // most active columns, likewise for columns
+	denseMaxBits = 1 << 23 // most rows × active columns
+	// rows × active columns ≤ factor·nnz keeps ultra-sparse wide
+	// matrices on the ZDD path.
+	denseDensityFactor = 256
+)
+
+// denseEligible reports whether the implicit phase should skip the ZDD
+// and run the explicit reductions directly: the instance is small and
+// its incidence over the active columns is dense.  Counting active
+// columns lets a problem with a huge sparse id space but few live
+// columns qualify.
+func denseEligible(p *matrix.Problem) bool {
+	nr := len(p.Rows)
+	if nr < denseMinRows || nr > denseMaxRows {
+		return false
+	}
+	seen := make([]bool, p.NCol)
+	nnz, nact := 0, 0
+	for _, r := range p.Rows {
+		nnz += len(r)
+		for _, j := range r {
+			if !seen[j] {
+				seen[j] = true
+				nact++
+			}
+		}
+	}
+	if nact == 0 || nact > denseMaxCols {
+		return false
+	}
+	bits := nr * nact
+	return bits <= denseMaxBits && bits <= denseDensityFactor*nnz
+}
 
 // zddGC gates the mark-sweep collections of the implicit phase; the
 // tests flip it off to measure how deep a capped phase reaches without
@@ -60,9 +101,9 @@ const zddGCRetries = 8
 
 // validCols reports whether every entry indexes the cost vector.
 // matrix.New enforces this, but the implicit phase is also the place
-// where hand-built Problems get caught, so the dense shortcut (whose
-// kernels index unchecked) verifies before claiming the instance; the
-// ZDD path reports bad ids through m.Set.
+// where hand-built Problems get caught, so the explicit-first shortcut
+// (whose passes index unchecked) verifies before claiming the
+// instance; the ZDD path reports bad ids through m.Set.
 func validCols(p *matrix.Problem) bool {
 	for _, r := range p.Rows {
 		for _, j := range r {
@@ -113,23 +154,23 @@ func ImplicitReduceBudget(p *matrix.Problem, maxR, maxC, nodeCap int, tr *budget
 }
 
 // ImplicitReduceBudgetWorkers is ImplicitReduceBudget with the
-// explicit dominance passes of the dense shortcut sharded across up to
-// workers goroutines; the ZDD engine itself is sequential (the manager
-// is single-threaded by design), so workers only matters on instances
-// the dense bit-matrix engine claims.
+// explicit dominance passes of the explicit-first shortcut sharded
+// across up to workers goroutines; the ZDD engine itself is sequential
+// (the manager is single-threaded by design), so workers only matters
+// on instances the shortcut claims.
 func ImplicitReduceBudgetWorkers(p *matrix.Problem, maxR, maxC, nodeCap int, tr *budget.Tracker, workers int) (res *ImplicitResult) {
 	res = &ImplicitResult{}
 
-	// Small dense instances skip the ZDD entirely: the dense bit-matrix
-	// engine reaches the same fixpoint (same reductions, same
-	// tie-breaks) in word-parallel passes with none of the ZDD-node
-	// overhead.  A node cap is an explicit request to budget the ZDD
-	// engine — the cap→GC→abort→explicit degradation ladder is part of
-	// the budget contract — so the shortcut only applies without one.
-	// If the deadline cuts the dense pass short the partially reduced
-	// core is still an equivalent problem, so it is returned rather
-	// than aborted.
-	if denseImplicit && nodeCap == 0 && validCols(p) && matrix.DenseEligible(p) {
+	// Small dense instances skip the ZDD entirely: the explicit
+	// reductions reach the same fixpoint with none of the ZDD-node
+	// overhead, and keep the rows in input order.  A node cap is an
+	// explicit request to budget the ZDD engine — the
+	// cap→GC→abort→explicit degradation ladder is part of the budget
+	// contract — so the shortcut only applies without one.  If the
+	// deadline cuts the explicit pass short the partially reduced core
+	// is still an equivalent problem, so it is returned rather than
+	// aborted.
+	if denseImplicit && nodeCap == 0 && validCols(p) && denseEligible(p) {
 		red := matrix.ReduceBudgetWorkers(p, tr, workers)
 		res.Dense = true
 		res.Infeasible = red.Infeasible

@@ -51,8 +51,9 @@ shard-smoke:
 # against the committed baseline: >75% ns/op growth or >0.5% allocs/op
 # growth — the timing allowance spans the container's load windows and
 # the alloc allowance absorbs the parallel portfolio's
-# scheduler-dependent pool jitter — or on a run key the baseline lacks
-# (see cmd/benchfmt).
+# scheduler-dependent pool jitter — or on a key set mismatch: a run
+# key the baseline lacks, or a baseline key at a -cpu count the run
+# measured that the run lacks (see cmd/benchfmt).
 bench-diff:
 	{ $(GO) test -run '^$$' -bench '$(SUBSTRATE_BENCH)' -benchtime 1x -count 5 -cpu 1 . ; \
 	  $(GO) test -run '^$$' -bench '$(FRONTEND_BENCH)' -benchtime 1x -count 3 -cpu 1 ./internal/primes ; } \

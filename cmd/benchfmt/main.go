@@ -211,19 +211,39 @@ const (
 
 // compare prints a per-benchmark delta table of the current document
 // against a baseline and reports whether the gate passes.  Metrics are
-// compared on their minima (the least-noise repetition).  A run key
-// (name-procs) absent from the baseline fails the gate: a renamed
-// bench, or a run at another GOMAXPROCS, would otherwise pass without
-// being compared, so it must force an explicit baseline refresh.  A
-// metric absent from a baseline entry is reported but never fails.
+// compared on their minima (the least-noise repetition).  The gate also
+// fails on every key (name-procs) it cannot compare: a run key absent
+// from the baseline (a renamed bench, or a run at another GOMAXPROCS,
+// must force a baseline refresh), a baseline key the run lacks at a
+// procs count the run measured (a deleted or renamed bench must not
+// drop out silently; keys at other procs counts belong to another
+// run's -cpu list), and an empty run.  A metric absent from a baseline
+// entry is reported but never fails.
 func compare(w io.Writer, doc, base *Doc, name string) bool {
 	fmt.Fprintf(w, "\nvs %s:\n", name)
+	if len(doc.Summary) == 0 {
+		fmt.Fprintln(w, "  FAIL (the run produced no benchmark results)")
+		return false
+	}
 	keys := make([]string, 0, len(doc.Summary))
+	runProcs := map[string]bool{}
 	for key := range doc.Summary {
 		keys = append(keys, key)
+		runProcs[procsOf(key)] = true
 	}
 	sort.Strings(keys)
 	ok := true
+	var missing []string
+	for key := range base.Summary {
+		if doc.Summary[key] == nil && runProcs[procsOf(key)] {
+			missing = append(missing, key)
+		}
+	}
+	sort.Strings(missing)
+	for _, key := range missing {
+		fmt.Fprintf(w, "  %-44s FAIL (in baseline, missing from run)\n", key)
+		ok = false
+	}
 	for _, key := range keys {
 		bm := base.Summary[key]
 		if bm == nil {
@@ -263,6 +283,11 @@ func compare(w io.Writer, doc, base *Doc, name string) bool {
 		fmt.Fprintln(w, "  no regressions")
 	}
 	return ok
+}
+
+// procsOf returns the procs suffix of a summary key ("name-procs").
+func procsOf(key string) string {
+	return key[strings.LastIndexByte(key, '-')+1:]
 }
 
 // parseLine decodes one "BenchmarkName-8  N  v1 unit1  v2 unit2 ..."

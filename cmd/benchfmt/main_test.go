@@ -118,6 +118,40 @@ func TestAgainstFailsOnKeyNotInBaseline(t *testing.T) {
 	}
 }
 
+// A baseline key at a procs count the run measured, but missing from
+// the run — a deleted or renamed bench — must fail the gate; baseline
+// keys at other procs counts are another run's to cover.
+func TestAgainstFailsOnBaselineKeyMissingFromRun(t *testing.T) {
+	stat := `{"ns/op": {"count": 1, "min": 1000000, "mean": 1000000, "max": 1000000}}`
+	base := writeFile(t, "base.json", `{"summary": {"BenchmarkFoo-8": `+stat+
+		`, "BenchmarkGone-8": `+stat+`, "BenchmarkGone-1": `+stat+`}}`)
+	code, stdout, _ := runWith(t, benchStream, "-against", base)
+	if code == 0 {
+		t.Fatalf("exit 0 with a baseline key missing from the run:\n%s", stdout)
+	}
+	if !strings.Contains(stdout, "BenchmarkGone-8") || !strings.Contains(stdout, "missing from run") {
+		t.Errorf("output does not name the missing key:\n%s", stdout)
+	}
+	if strings.Contains(stdout, "BenchmarkGone-1") {
+		t.Errorf("output holds the run to a procs count it never measured:\n%s", stdout)
+	}
+
+	// The same baseline minus the -8 key passes: -1 is not this run's.
+	base = writeFile(t, "base2.json", `{"summary": {"BenchmarkFoo-8": `+stat+`, "BenchmarkGone-1": `+stat+`}}`)
+	if code, stdout, _ := runWith(t, benchStream, "-against", base); code != 0 {
+		t.Fatalf("exit %d with only an other-procs key absent:\n%s", code, stdout)
+	}
+}
+
+// A run with no results compares nothing, so it must not pass.
+func TestAgainstFailsOnEmptyRun(t *testing.T) {
+	base := writeFile(t, "base.json", `{"summary": {"BenchmarkFoo-8": {"ns/op": {"count": 1, "min": 1000000, "mean": 1000000, "max": 1000000}}}}`)
+	code, stdout, _ := runWith(t, "goos: linux\nPASS\n", "-against", base)
+	if code == 0 || strings.Contains(stdout, "no regressions") {
+		t.Fatalf("exit %d on an empty run:\n%s", code, stdout)
+	}
+}
+
 func TestParseLine(t *testing.T) {
 	e, ok := parseLine("BenchmarkBar-16   	     100	     52341 ns/op	  12 extra/op")
 	if !ok || e.Name != "BenchmarkBar" || e.Procs != 16 || e.Runs != 100 {

@@ -229,7 +229,7 @@ func (s *solver) search(p *matrix.Problem, ub int) []int {
 		s.exceeded = true
 		return nil
 	}
-	red := matrix.Reduce(p)
+	red := matrix.ReduceBudgetWorkers(p, nil, 1)
 	if red.Infeasible {
 		return nil
 	}

@@ -13,9 +13,10 @@ import "sort"
 // (if the reduced solution contains k, the original pays c_k in place
 // of (c_k − c_j) + c_j; if not, j is added).  With uniform costs the
 // situation is already subsumed by column dominance plus essentiality
-// — the reason the main Reduce pipeline, which the paper's unit-cost
-// benchmarks exercise, omits it — but for weighted covering (e.g. the
-// literal-count objective) it removes structure dominance cannot.
+// — the reason the main reduction (ReduceBudgetWorkers), which the
+// paper's unit-cost benchmarks exercise, omits it — but for weighted
+// covering (e.g. the literal-count objective) it removes structure
+// dominance cannot.
 
 // GimpelStep records one application, enough to lift a reduced
 // solution back.
@@ -34,8 +35,9 @@ type GimpelReduction struct {
 
 // ReduceGimpel applies Gimpel's reduction to fixpoint.  It does not
 // run the other reductions; callers typically interleave it with
-// Reduce.  The returned core holds a copy of the cost vector (column
-// k's price changes), so the input problem is not modified.
+// ReduceBudgetWorkers.  The returned core holds a copy of the cost
+// vector (column k's price changes), so the input problem is not
+// modified.
 func ReduceGimpel(p *Problem) *GimpelReduction {
 	cur := p.Clone()
 	res := &GimpelReduction{}

@@ -114,8 +114,8 @@ func TestGimpelUniformCostsSubsumed(t *testing.T) {
 		if len(g.Steps) == 0 {
 			continue
 		}
-		// Every unit-cost Gimpel site must also fall to Reduce.
-		red := Reduce(p)
+		// Every unit-cost Gimpel site must also fall to ReduceBudgetWorkers.
+		red := ReduceBudgetWorkers(p, nil, 1)
 		got := p.CostOf(red.Essential)
 		if len(red.Core.Rows) > 0 {
 			got += bruteForce(red.Core)

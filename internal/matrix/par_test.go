@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// sameTracked asserts two tracked reductions are bit-identical:
+// sameReduction asserts two reductions are bit-identical:
 // essentials, core rows, provenance and flags.
-func sameTracked(t *testing.T, label string, got, want *TrackedReduction) {
+func sameReduction(t *testing.T, label string, got, want *Reduction) {
 	t.Helper()
 	if got.Infeasible != want.Infeasible || got.Stopped != want.Stopped {
 		t.Fatalf("%s: flags differ: got (inf %v, stop %v) want (inf %v, stop %v)",
@@ -45,10 +45,10 @@ func TestReduceWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 150; trial++ {
 		p := randReduceProblem(rng, 40, 40, 3, trial%7 == 0)
-		want := ReduceTrackedWorkers(p, nil, 1)
+		want := ReduceBudgetWorkers(p, nil, 1)
 		for _, workers := range []int{2, 4, 8} {
-			got := ReduceTrackedWorkers(p, nil, workers)
-			sameTracked(t, "small", got, want)
+			got := ReduceBudgetWorkers(p, nil, workers)
+			sameReduction(t, "small", got, want)
 		}
 	}
 }
@@ -75,9 +75,9 @@ func TestReduceWorkersBitIdenticalLarge(t *testing.T) {
 		cost[j] = 1 + rng.Intn(3)
 	}
 	p := MustNew(rows, 700, cost)
-	want := ReduceTrackedWorkers(p, nil, 1)
+	want := ReduceBudgetWorkers(p, nil, 1)
 	for _, workers := range []int{2, 4, 8} {
-		sameTracked(t, "large", ReduceTrackedWorkers(p, nil, workers), want)
+		sameReduction(t, "large", ReduceBudgetWorkers(p, nil, workers), want)
 	}
 }
 

@@ -64,13 +64,13 @@ func editScript(p *Problem, raw []byte) (*Delta, error) {
 }
 
 // checkReplay reduces d's child cold and by replay and asserts the two
-// tracked reductions are bit-identical; it returns the replay's trace
+// reductions are bit-identical; it returns the replay's trace
 // so chains can continue.
 func checkReplay(t *testing.T, label string, d *Delta, trace *ReduceTrace, workers int) *ReduceTrace {
 	t.Helper()
-	want, _ := ReduceTrackedTrace(d.Child, nil, workers)
+	want, _ := ReduceTraced(d.Child, nil, workers)
 	got, newTrace := ReplayReduce(d, trace, nil, workers)
-	sameTracked(t, label, got, want)
+	sameReduction(t, label, got, want)
 	return newTrace
 }
 
@@ -170,10 +170,10 @@ func TestDeltaBetween(t *testing.T) {
 		}
 		// And it must be good enough to power an exact replay.
 		trace := &ReduceTrace{}
-		_, trace = ReduceTrackedTrace(p, nil, 1)
-		want, _ := ReduceTrackedTrace(d.Child, nil, 1)
+		_, trace = ReduceTraced(p, nil, 1)
+		want, _ := ReduceTraced(d.Child, nil, 1)
 		res, _ := ReplayReduce(got, trace, nil, 1)
-		sameTracked(t, "deltabetween-replay", res, want)
+		sameReduction(t, "deltabetween-replay", res, want)
 	}
 }
 
@@ -188,7 +188,7 @@ func TestReplayReduceMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for trial := 0; trial < 120; trial++ {
 		p := randReduceProblem(rng, 35, 30, 3, false)
-		_, trace := ReduceTrackedTrace(p, nil, 1+trial%3)
+		_, trace := ReduceTraced(p, nil, 1+trial%3)
 		cur := p
 		for gen := 0; gen < 3; gen++ {
 			raw := make([]byte, 1+rng.Intn(8))
@@ -213,7 +213,7 @@ func TestReplayReduceStaleTrace(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		p := randReduceProblem(rng, 30, 25, 3, false)
 		q := randReduceProblem(rng, 30, 25, 3, false)
-		_, alien := ReduceTrackedTrace(q, nil, 1)
+		_, alien := ReduceTraced(q, nil, 1)
 		raw := make([]byte, 1+rng.Intn(6))
 		rng.Read(raw)
 		d, err := editScript(p, raw)
@@ -226,9 +226,9 @@ func TestReplayReduceStaleTrace(t *testing.T) {
 			alien.RowKills[i][0] %= int32(len(p.Rows))
 			alien.RowKills[i][1] %= int32(len(p.Rows))
 		}
-		want, _ := ReduceTrackedTrace(d.Child, nil, 1)
+		want, _ := ReduceTraced(d.Child, nil, 1)
 		got, _ := ReplayReduce(d, alien, nil, 1)
-		sameTracked(t, "stale", got, want)
+		sameReduction(t, "stale", got, want)
 	}
 }
 
@@ -242,15 +242,15 @@ func FuzzDeltaReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, raw []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randReduceProblem(rng, 25, 25, 3, false)
-		_, trace := ReduceTrackedTrace(p, nil, 1)
+		_, trace := ReduceTraced(p, nil, 1)
 		d, err := editScript(p, raw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			want, _ := ReduceTrackedTrace(d.Child, nil, workers)
+			want, _ := ReduceTraced(d.Child, nil, workers)
 			got, _ := ReplayReduce(d, trace, nil, workers)
-			sameTracked(t, "fuzz", got, want)
+			sameReduction(t, "fuzz", got, want)
 		}
 	})
 }

@@ -6,7 +6,12 @@ import (
 	"sort"
 
 	"ucp/internal/cube"
+	"ucp/internal/matrix"
 )
+
+// Reference oracles for the differential tests: independently written
+// (and slower) implementations that the production code must match
+// bit for bit.
 
 // implicant is a cube in (value, mask) form: mask bits are don't
 // cares, value bits are the fixed assignment (value ∩ mask = 0).
@@ -126,4 +131,78 @@ func MintermsOf(f *cube.Cover) []uint64 {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
+}
+
+// buildCoveringReference is the original map-and-cube-containment
+// construction, kept as the oracle for the differential tests: the
+// streaming BuildCovering must reproduce its rows, ids and costs
+// bit-identically.
+func buildCoveringReference(f, d *cube.Cover, prs *cube.Cover, cm CostModel) (*matrix.Problem, []RowID, error) {
+	s := f.S
+	if s.Inputs() > MaxCoveringInputs {
+		return nil, nil, fmt.Errorf("%w: %d inputs exceed %d", ErrCoveringLimit, s.Inputs(), MaxCoveringInputs)
+	}
+	nOut := s.Outputs()
+	if nOut == 0 {
+		nOut = 1
+	}
+	type key struct {
+		m uint64
+		o int
+	}
+	need := make(map[key]bool)
+	for o := 0; o < nOut; o++ {
+		for _, c := range f.Cubes {
+			if err := s.Minterms(c, o, func(m uint64) bool {
+				need[key{m, o}] = true
+				return true
+			}); err != nil {
+				return nil, nil, err
+			}
+		}
+		if d != nil {
+			for _, c := range d.Cubes {
+				if err := s.Minterms(c, o, func(m uint64) bool {
+					delete(need, key{m, o}) // don't cares need no cover
+					return true
+				}); err != nil {
+					return nil, nil, err
+				}
+			}
+		}
+	}
+	ids := make([]RowID, 0, len(need))
+	for k := range need {
+		ids = append(ids, RowID{Minterm: k.m, Output: k.o})
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		if ids[a].Output != ids[b].Output {
+			return ids[a].Output < ids[b].Output
+		}
+		return ids[a].Minterm < ids[b].Minterm
+	})
+
+	rows := make([][]int, len(ids))
+	for r, id := range ids {
+		mc := s.CubeOfMinterm(id.Minterm, id.Output)
+		for j, pc := range prs.Cubes {
+			if s.Contains(pc, mc) {
+				rows[r] = append(rows[r], j)
+			}
+		}
+	}
+	cost := make([]int, prs.Len())
+	for j, pc := range prs.Cubes {
+		switch cm {
+		case LiteralCost:
+			cost[j] = 1 + s.Inputs() - s.InputWeight(pc)
+		default:
+			cost[j] = 1
+		}
+	}
+	p, err := matrix.New(rows, prs.Len(), cost)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, ids, nil
 }

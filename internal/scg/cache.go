@@ -80,7 +80,7 @@ func solveCached(p *matrix.Problem, opt Options) *Result {
 	var mine *Result
 	v, _ := opt.Cache.DoChan(key, cancel, func() (any, time.Duration, bool) {
 		t0 := time.Now()
-		mine = solve(p, opt)
+		mine = solve(p, opt, nil)
 		mine.Stats.CacheMisses = 1
 		cp := copyResult(mine)
 		canSol, ok := cn.EncodeCols(cp.Solution, p.NCol)
@@ -98,7 +98,7 @@ func solveCached(p *matrix.Problem, opt Options) *Result {
 		ok = p.IsCover(sol) && p.CostOf(sol) == res.Cost
 	}
 	if !ok {
-		res = solve(p, opt)
+		res = solve(p, opt, nil)
 		res.Stats.CacheMisses = 1
 		return res
 	}

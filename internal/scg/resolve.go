@@ -1,11 +1,6 @@
 package scg
 
 import (
-	"math"
-	"runtime"
-	"sort"
-	"time"
-
 	"ucp/internal/budget"
 	"ucp/internal/matrix"
 )
@@ -31,14 +26,13 @@ import (
 // side of an incremental re-solve.  It is immutable once returned and
 // safe to share: ResolveState only reads it.
 type SolveState struct {
-	problem   *matrix.Problem
-	opt       Options // filled, implicit phase disabled
-	red       *matrix.TrackedReduction
-	trace     *matrix.ReduceTrace
-	essential []int
-	comps     []matrix.Component
-	states    []*compState
-	res       *Result
+	problem *matrix.Problem
+	opt     Options // filled, implicit phase disabled
+	red     *matrix.Reduction
+	trace   *matrix.ReduceTrace
+	comps   []matrix.Component
+	states  []*compState
+	res     *Result
 }
 
 // Result returns the solve's result (the same value SolveKeep
@@ -82,14 +76,27 @@ type ResolveInfo struct {
 // retained state is the memoization here, and the observational hook
 // has no defined replay semantics); DisableImplicit is forced on — see
 // the package comment above.
+//
+// A kept solve does not split the input into its connected parts (the
+// retained reduction and block states are whole-problem), so it equals
+// Solve with DisableImplicit bit for bit only when p is connected
+// (matrix.Partition(p) == nil); on a disconnected input the two may
+// differ in solution, bounds and counters, though both are verified
+// covers with valid lower bounds.
 func SolveKeep(p *matrix.Problem, opt Options) (*Result, *SolveState) {
+	opt = keepOptions(opt)
+	st := &SolveState{problem: p, opt: opt}
+	st.res = solve(p, opt, &keepCtx{st: st})
+	return st.res, st
+}
+
+// keepOptions pins the options of a kept solve or a resolve.
+func keepOptions(opt Options) Options {
 	opt.fill()
 	opt.DisableImplicit = true
 	opt.Cache = nil
 	opt.OnImprove = nil
-	st := &SolveState{problem: p, opt: opt}
-	st.res = solveKept(p, opt, st, nil, nil, false)
-	return st.res, st
+	return opt
 }
 
 // ResolveState solves the delta's child problem, reusing as much of
@@ -99,10 +106,7 @@ func SolveKeep(p *matrix.Problem, opt Options) (*Result, *SolveState) {
 // the fresh SolveState makes resolves chainable.  A nil or unusable
 // parent state degrades to a full solve, reported in ResolveInfo.
 func ResolveState(d *matrix.Delta, st *SolveState, opt Options, ro ResolveOptions) (*Result, *SolveState, *ResolveInfo) {
-	opt.fill()
-	opt.DisableImplicit = true
-	opt.Cache = nil
-	opt.OnImprove = nil
+	opt = keepOptions(opt)
 	info := &ResolveInfo{RowsTotal: len(d.Child.Rows)}
 	if st == nil || st.res == nil || st.res.Interrupted || st.red == nil || st.red.Stopped ||
 		!sameResultOptions(st.opt, opt) || !matrix.Equal(st.problem, d.Parent) {
@@ -112,145 +116,82 @@ func ResolveState(d *matrix.Delta, st *SolveState, opt Options, ro ResolveOption
 		return res, next, info
 	}
 	next := &SolveState{problem: d.Child, opt: opt}
-	next.res = solveKept(d.Child, opt, next, d, st, ro.WarmStart)
-	for _, cs := range next.states {
-		reused := false
-		for _, ps := range st.states {
-			if ps == cs {
-				reused = true
-				break
-			}
-		}
-		if reused {
-			info.CompsReused++
-		} else {
-			info.CompsSolved++
-		}
-	}
+	k := &keepCtx{st: next, d: d, parent: st, warm: ro.WarmStart}
+	next.res = solve(d.Child, opt, k)
+	info.CompsReused, info.CompsSolved = k.reused, len(next.states)-k.reused
 	if next.red != nil {
 		info.RowsReduced = len(d.Child.Rows) - len(next.red.Core.Rows)
 	}
 	return next.res, next, info
 }
 
-// solveKept is solve() for the explicit pipeline with state capture:
-// when d and parent are non-nil the reduction replays the parent's
-// trace and unchanged blocks are carried over (warm-seeding re-solved
-// blocks when warm is set).  st receives the session state as it is
-// built.
-func solveKept(p *matrix.Problem, opt Options, st *SolveState, d *matrix.Delta, parent *SolveState, warm bool) *Result {
-	t0 := time.Now()
-	res := &Result{}
-	tr := opt.Budget.Tracker()
-	defer func() {
-		if r := tr.Reason(); r != budget.None {
-			res.Interrupted = true
-			res.StopReason = r
-		}
-	}()
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// keepCtx carries a kept solve through the ordinary pipeline (solve →
+// solvePart).  A nil context is an ordinary solve.  Otherwise the
+// reduction records a fact trace, every block captures its initial
+// multipliers, and st receives the session state as it is built; on a
+// resolve (parent set) the reduction replays the parent's trace
+// instead, and blocks the edit left untouched are carried over
+// (re-solved ones warm-seeded when warm is set).
+type keepCtx struct {
+	st     *SolveState
+	d      *matrix.Delta // parent.problem → st.problem; set with parent
+	parent *SolveState
+	warm   bool
+	warmer *warmSource // built on the first warm-seeded block
+	reused int         // blocks carried over from parent
+}
 
-	// ----- explicit reductions, replayed when a parent trace exists -----
-	var red *matrix.TrackedReduction
-	var trace *matrix.ReduceTrace
-	if d != nil && parent != nil {
-		red, trace = matrix.ReplayReduce(d, parent.trace, tr, workers)
-	} else {
-		red, trace = matrix.ReduceTrackedTrace(p, tr, workers)
+// reduce runs the explicit reductions on work.
+func (k *keepCtx) reduce(work *matrix.Problem, tr *budget.Tracker, workers int) *matrix.Reduction {
+	switch {
+	case k == nil:
+		return matrix.ReduceBudgetWorkers(work, tr, workers)
+	case k.parent != nil:
+		k.st.red, k.st.trace = matrix.ReplayReduce(k.d, k.parent.trace, tr, workers)
+	default:
+		k.st.red, k.st.trace = matrix.ReduceTraced(work, tr, workers)
 	}
-	st.red, st.trace = red, trace
-	if red.Infeasible {
-		res.Stats.TotalTime = time.Since(t0)
-		return res
-	}
-	essential := append([]int(nil), red.Essential...)
-	st.essential = essential
-	core := red.Core
-	res.Stats.CyclicCoreTime = time.Since(t0)
-	res.Stats.CoreRows = len(core.Rows)
-	res.Stats.CoreCols = len(core.ActiveCols())
+	return k.st.red
+}
 
-	essCost := p.CostOf(essential)
-	if len(core.Rows) == 0 {
-		if essential == nil {
-			essential = []int{} // nil would read as "infeasible"
-		}
-		sort.Ints(essential)
-		res.Solution = essential
-		res.Cost = essCost
-		res.LB = float64(essCost)
-		res.ProvedOptimal = true
-		res.Stats.TotalTime = time.Since(t0)
-		return res
-	}
-
-	// ----- block decomposition, mirroring solve() exactly -----
-	comps := []matrix.Component{{Problem: core, RowIdx: coreRowIdx(core)}}
-	if !opt.DisablePartition {
-		if split := matrix.Components(core); len(split) > 1 {
-			comps = split
-		}
-	}
-	st.comps = comps
-
-	// ----- portfolio, reusing blocks the edit left untouched -----
+// blocks builds the portfolio states of the cyclic core's blocks and
+// lists the ones still to solve.  A parent block is reused on a
+// positional content match, which makes reuse bit-exact: a block's
+// results are a pure function of (rows, referenced costs, index,
+// options), all equal.
+func (k *keepCtx) blocks(comps []matrix.Component, partIdx int) ([]*compState, []int) {
 	states := make([]*compState, len(comps))
 	var pend []int
-	var warmer *warmSource
-	for c := range comps {
-		if parent != nil && c < len(parent.states) && c < len(parent.comps) &&
-			compMatches(parent.comps[c].Problem, comps[c].Problem) {
-			// Positional content match: the block's results are a pure
-			// function of (rows, referenced costs, index, options), all
-			// equal — reuse is bit-exact.
-			states[c] = parent.states[c]
+	if k != nil && len(comps) == 1 {
+		// Warm starts map multipliers through RowIdx: the identity here.
+		comps[0].RowIdx = make([]int, len(comps[0].Problem.Rows))
+		for i := range comps[0].RowIdx {
+			comps[0].RowIdx[i] = i
+		}
+	}
+	for c, comp := range comps {
+		if k != nil && k.parent != nil && c < len(k.parent.states) && c < len(k.parent.comps) &&
+			compMatches(k.parent.comps[c].Problem, comp.Problem) {
+			states[c] = k.parent.states[c]
+			k.reused++
 			continue
 		}
-		states[c] = &compState{core: comps[c].Problem, idx: c, capture: true}
-		if warm && parent != nil {
-			if warmer == nil {
-				warmer = newWarmSource(parent, d, red)
+		states[c] = &compState{core: comp.Problem, idx: c, part: partIdx, capture: k != nil}
+		if k != nil && k.warm {
+			if k.warmer == nil {
+				k.warmer = newWarmSource(k.parent, k.d, k.st.red)
 			}
-			states[c].warm = warmer.forComp(comps[c])
+			states[c].warm = k.warmer.forComp(comp)
+		}
+		if pend == nil {
+			pend = make([]int, 0, len(comps))
 		}
 		pend = append(pend, c)
 	}
-	st.states = states
-	runStates(states, pend, opt, tr, nil)
-
-	best := append([]int(nil), essential...)
-	lbSum := float64(essCost)
-	ceilSum := essCost
-	for _, cs := range states {
-		sol, lb, ok := cs.merge(&res.Stats)
-		if !ok {
-			res.Stats.TotalTime = time.Since(t0)
-			return res
-		}
-		best = append(best, sol...)
-		lbSum += lb
-		ceilSum += int(math.Ceil(lb - 1e-9))
+	if k != nil {
+		k.st.comps, k.st.states = comps, states
 	}
-	best = p.Irredundant(best)
-	sort.Ints(best)
-	res.Solution = best
-	res.Cost = p.CostOf(best)
-	res.LB = lbSum
-	res.ProvedOptimal = res.Cost <= ceilSum
-	res.Stats.TotalTime = time.Since(t0)
-	return res
-}
-
-// coreRowIdx is the identity row index for the single-component case.
-func coreRowIdx(core *matrix.Problem) []int {
-	idx := make([]int, len(core.Rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
+	return states, pend
 }
 
 // compMatches reports whether two blocks are the same subproblem: the
@@ -309,7 +250,7 @@ type warmSource struct {
 	muByCol           []float64
 }
 
-func newWarmSource(parent *SolveState, d *matrix.Delta, red *matrix.TrackedReduction) *warmSource {
+func newWarmSource(parent *SolveState, d *matrix.Delta, red *matrix.Reduction) *warmSource {
 	w := &warmSource{}
 	if parent.red == nil {
 		return w

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ucp/internal/benchmarks"
 	"ucp/internal/bnb"
 	"ucp/internal/matrix"
 )
@@ -90,12 +91,66 @@ func sameSolve(t *testing.T, label string, got, want *Result) {
 	}
 }
 
+// blockDiagonal stacks independent blocks on disjoint column ranges
+// and returns the problem with its block width: random dense blocks,
+// or — cyclic set — the cyclic cores of ucpd_mix's keep/parent chains
+// (40 rows over 26 columns, row degree 4).
+func blockDiagonal(rng *rand.Rand, blocks int, cyclic bool) (*matrix.Problem, int) {
+	var rows [][]int
+	var cost []int
+	width := 26
+	if !cyclic {
+		width = 4 + rng.Intn(8)
+	}
+	for b := 0; b < blocks; b++ {
+		var q *matrix.Problem
+		if cyclic {
+			q = benchmarks.CyclicCovering(rng.Int63(), 40, width, 4)
+		} else {
+			q = benchmarks.RandomCovering(rng.Int63(), 3+rng.Intn(8), width, 0.35, 3)
+		}
+		for _, r := range q.Rows {
+			shifted := make([]int, len(r))
+			for t, j := range r {
+				shifted[t] = j + b*width
+			}
+			rows = append(rows, shifted)
+		}
+		cost = append(cost, q.Cost...)
+	}
+	return matrix.MustNew(rows, len(cost), cost), width
+}
+
+// withBlockRow is the edit of a ucpd_mix chain step: one new row of up
+// to four distinct columns inside one random block.
+func withBlockRow(rng *rand.Rand, p *matrix.Problem, width int) *matrix.Delta {
+	base := rng.Intn(p.NCol/width) * width
+	seen := map[int]bool{}
+	var row []int
+	for len(row) < 4 && len(row) < width {
+		if j := base + rng.Intn(width); !seen[j] {
+			seen[j] = true
+			row = append(row, j)
+		}
+	}
+	d, err := p.AddRows([][]int{row})
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 // TestSolveKeepMatchesSolve: keeping state must not perturb the solve —
-// SolveKeep equals Solve on the explicit pipeline bit for bit.
+// on a connected input SolveKeep equals Solve on the explicit pipeline
+// bit for bit.  (A kept solve does not partition its input, so on a
+// disconnected one the two legitimately differ.)
 func TestSolveKeepMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
 		p := randomProblem(rng, 14, 12, 3)
+		for matrix.Partition(p) != nil {
+			p = randomProblem(rng, 14, 12, 3)
+		}
 		opt := Options{Seed: int64(trial), NumIter: 3, DisableImplicit: true, Workers: 1 + trial%4}
 		want := Solve(p, opt)
 		got, st := SolveKeep(p, opt)
@@ -109,24 +164,46 @@ func TestSolveKeepMatchesSolve(t *testing.T) {
 // TestResolveMatchesCold is the resolve bit-exactness contract: for
 // random instances, random edit chains and worker counts 1/2/4/8, the
 // incremental result must equal a cold SolveKeep of the child exactly —
-// solution, cost, bounds and the deterministic Stats counters.
+// solution, cost, bounds and the deterministic Stats counters.  The
+// instances are dense random ones, block-diagonal ones with 2–5 random
+// blocks under random edits, and ucpd_mix-shaped chains: cyclic-core
+// blocks edited one in-block row at a time.
 func TestResolveMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	for trial := 0; trial < 40; trial++ {
-		p := randomProblem(rng, 16, 14, 3)
+	for trial := 0; trial < 60; trial++ {
 		workers := []int{1, 2, 4, 8}[trial%4]
 		opt := Options{Seed: int64(trial), NumIter: 2, Workers: workers}
+		var p *matrix.Problem
+		width := 0
+		switch {
+		case trial < 40:
+			p = randomProblem(rng, 16, 14, 3)
+		case trial < 52:
+			p, _ = blockDiagonal(rng, 2+rng.Intn(4), false)
+		default:
+			p, width = blockDiagonal(rng, 2+rng.Intn(4), true)
+		}
 		_, st := SolveKeep(p, opt)
 		cur := p
+		reused := 0
 		for gen := 0; gen < 3; gen++ {
-			d := editProblem(rng, cur)
+			var d *matrix.Delta
+			if width > 0 {
+				d = withBlockRow(rng, cur, width)
+			} else {
+				d = editProblem(rng, cur)
+			}
 			want, _ := SolveKeep(d.Child, opt)
 			got, next, info := ResolveState(d, st, opt, ResolveOptions{})
 			if info.Fallback {
 				t.Fatalf("trial %d gen %d: unexpected fallback", trial, gen)
 			}
 			sameSolve(t, "resolve", got, want)
+			reused += info.CompsReused
 			st, cur = next, d.Child
+		}
+		if width > 0 && reused == 0 {
+			t.Fatalf("trial %d: a one-block edit chain reused no block", trial)
 		}
 	}
 }
@@ -170,6 +247,29 @@ func TestResolveWarmStart(t *testing.T) {
 		if got.Cost < ref.Cost {
 			t.Fatalf("trial %d: impossible cost %d < optimum %d", trial, got.Cost, ref.Cost)
 		}
+	}
+}
+
+// TestResolveWarmStartSeedsSingleBlock: a warm resolve of a one-block
+// core must actually seed the re-solved block from the parent's
+// multipliers (the single block's row index is the identity).
+func TestResolveWarmStartSeedsSingleBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	seeded := 0
+	for trial := 0; trial < 10; trial++ {
+		p, width := blockDiagonal(rng, 1, true)
+		opt := Options{Seed: int64(trial), NumIter: 2}
+		_, st := SolveKeep(p, opt)
+		if len(st.comps) != 1 {
+			continue
+		}
+		_, next, info := ResolveState(withBlockRow(rng, p, width), st, opt, ResolveOptions{WarmStart: true})
+		if info.CompsSolved == 1 && len(next.states) == 1 && next.states[0].warm != nil {
+			seeded++
+		}
+	}
+	if seeded == 0 {
+		t.Fatal("no warm resolve of a one-block core was seeded from the parent")
 	}
 }
 

@@ -207,7 +207,7 @@ func Solve(p *matrix.Problem, opt Options) *Result {
 	if opt.Cache != nil {
 		return solveCached(p, opt)
 	}
-	return solve(p, opt)
+	return solve(p, opt, nil)
 }
 
 // solve is the uncached solver core; opt is already filled.
@@ -221,7 +221,11 @@ func Solve(p *matrix.Problem, opt Options) *Result {
 // scheduler, so a sharded solve is bit-identical to this one by
 // construction.  Connected inputs (and DisablePartition) take the
 // single-part path, which is the historical pipeline unchanged.
-func solve(p *matrix.Problem, opt Options) *Result {
+//
+// keep (nil for ordinary solves) makes the solve a kept one or a
+// resolve (see SolveKeep): the input is not partitioned, and the
+// part's reduction and block states come from the keep context.
+func solve(p *matrix.Problem, opt Options, keep *keepCtx) *Result {
 	t0 := time.Now()
 	res := &Result{}
 	tr := opt.Budget.Tracker()
@@ -233,14 +237,14 @@ func solve(p *matrix.Problem, opt Options) *Result {
 	}()
 
 	var parts []matrix.Component
-	if !opt.DisablePartition {
+	if !opt.DisablePartition && keep == nil {
 		parts = matrix.Partition(p)
 	}
 	if parts == nil {
-		// Connected input (or partitioning disabled): one part, no row
-		// copies, no column compaction.
-		pr := solvePart(p, 0, opt, tr, opt.OnImprove)
-		mergeParts(res, []*PartResult{pr})
+		// Connected input (or partitioning disabled, or a kept solve):
+		// one part, no row copies, no column compaction.
+		pr := solvePart(p, 0, 1, opt, tr, opt.OnImprove, keep)
+		mergeParts(res, []*PartResult{&pr})
 		res.Stats.TotalTime = time.Since(t0)
 		return res
 	}
@@ -258,11 +262,10 @@ func solve(p *matrix.Problem, opt Options) *Result {
 	for k, part := range parts {
 		var emit func([]int, int, float64)
 		if outer != nil {
-			kk := k
-			emit = func(sol []int, cost int, lb float64) { outer.update(kk, sol, cost, lb) }
+			emit = func(sol []int, cost int, lb float64) { outer.update(k, sol, cost, lb) }
 		}
-		pr := solvePartCompact(part.Problem, k, opt, tr, emit)
-		prs = append(prs, pr)
+		pr := solvePart(part.Problem, k, len(parts), opt, tr, emit, nil)
+		prs = append(prs, &pr)
 		if pr.Solution == nil {
 			break // an uncoverable part: the whole problem is infeasible
 		}
@@ -288,52 +291,45 @@ type PartResult struct {
 }
 
 // SolvePart runs the full per-part pipeline on one connected part of
-// an input problem.  partIdx is the part's canonical index, which
-// seeds the part's restart RNG streams; column ids in part (and in the
-// returned Solution) are the input problem's.  The caller owns the
-// decomposition contract: part really is one connected component and
-// partIdx its canonical position, or the solve is still valid but no
-// longer bit-comparable with solving the whole input.  Options.Cache
-// and Options.OnImprove are ignored at part level.
-func SolvePart(part *matrix.Problem, partIdx int, opt Options, tr *budget.Tracker) *PartResult {
+// an input problem that splits into nparts parts.  partIdx is the
+// part's canonical index, which seeds the part's restart RNG streams;
+// column ids in part (and in the returned Solution) are the input
+// problem's.  The caller owns the decomposition contract: part really
+// is one connected component and partIdx its canonical position, or
+// the solve is still valid but no longer bit-comparable with solving
+// the whole input.  Options.Cache and Options.OnImprove are ignored at
+// part level.
+func SolvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budget.Tracker) *PartResult {
 	opt.fill()
-	return solvePart(part, partIdx, opt, tr, nil)
+	pr := solvePart(part, partIdx, nparts, opt, tr, nil, nil)
+	return &pr
 }
 
-// SolvePartCompact is SolvePart for parts carved out of a much wider
-// column universe: the part is first compacted to its active columns
-// (an O(nnz) operation, see matrix.CompactSparse) and the solution is
-// mapped back, so per-part costs never scale with the parent's NCol.
-func SolvePartCompact(part *matrix.Problem, partIdx int, opt Options, tr *budget.Tracker) *PartResult {
-	opt.fill()
-	return solvePartCompact(part, partIdx, opt, tr, nil)
-}
-
-// solvePartCompact compacts the part's columns, solves, and maps the
-// solution (and emitted incumbents) back to input column ids.
-func solvePartCompact(part *matrix.Problem, partIdx int, opt Options, tr *budget.Tracker, emit func([]int, int, float64)) *PartResult {
-	sub, ids := part.CompactSparse()
-	inner := emit
-	if emit != nil {
-		inner = func(sol []int, cost int, lb float64) {
-			emit(mapCols(sol, ids), cost, lb)
+// solvePart is the pipeline applied to one part: implicit reduction,
+// explicit reduction, block portfolio over the cyclic core, per-part
+// irredundant cleanup.  A part of a split input (nparts > 1) is first
+// compacted to its active columns (an O(nnz) operation, see
+// matrix.CompactSparse), so per-part costs never scale with the
+// input's NCol; the solution and emitted incumbents map back to input
+// column ids.  emit (may be nil) receives the part's improving
+// incumbents; keep (may be nil) supplies the reduction and block
+// states of a kept solve.
+func solvePart(part *matrix.Problem, partIdx, nparts int, opt Options, tr *budget.Tracker, emit func([]int, int, float64), keep *keepCtx) (pr PartResult) {
+	if nparts > 1 {
+		sub, ids := part.CompactSparse()
+		part = sub
+		if emit != nil {
+			inner := emit
+			emit = func(sol []int, cost int, lb float64) { inner(mapCols(sol, ids), cost, lb) }
 		}
+		defer func() {
+			if pr.Solution != nil {
+				pr.Solution = mapCols(pr.Solution, ids)
+				sort.Ints(pr.Solution)
+			}
+		}()
 	}
-	pr := solvePart(sub, partIdx, opt, tr, inner)
-	if pr.Solution != nil {
-		pr.Solution = mapCols(pr.Solution, ids)
-		sort.Ints(pr.Solution)
-	}
-	return pr
-}
-
-// solvePart is the historical single-pipeline solve applied to one
-// part: implicit reduction, explicit reduction, block portfolio over
-// the cyclic core, per-part irredundant cleanup.  emit (may be nil)
-// receives the part's improving incumbents.
-func solvePart(part *matrix.Problem, partIdx int, opt Options, tr *budget.Tracker, emit func([]int, int, float64)) *PartResult {
 	t0 := time.Now()
-	pr := &PartResult{}
 
 	// The reduction fixpoints shard their dominance passes across the
 	// same worker budget the restart portfolio uses; the merge is
@@ -366,7 +362,7 @@ func solvePart(part *matrix.Problem, partIdx int, opt Options, tr *budget.Tracke
 	}
 
 	// ----- explicit reductions -----
-	red := matrix.ReduceBudgetWorkers(work, tr, workers)
+	red := keep.reduce(work, tr, workers)
 	if red.Infeasible {
 		return pr
 	}
@@ -404,7 +400,8 @@ func solvePart(part *matrix.Problem, partIdx int, opt Options, tr *budget.Tracke
 	if emit != nil {
 		obs = newAnytime(essential, essCost, len(comps), emit)
 	}
-	states := solveBlocks(comps, partIdx, opt, tr, obs)
+	states, pend := keep.blocks(comps, partIdx)
+	runStates(states, pend, opt, tr, obs)
 	best := append([]int(nil), essential...)
 	lbSum := float64(essCost)
 	ceilSum := essCost
@@ -450,7 +447,11 @@ func mergeParts(res *Result, prs []*PartResult) {
 			res.Solution = nil
 			return
 		}
-		sol = append(sol, pr.Solution...)
+		if len(prs) == 1 {
+			sol = pr.Solution // one part: its fresh cover needs no copy
+		} else {
+			sol = append(sol, pr.Solution...)
+		}
 		cost += pr.Cost
 		lbSum += pr.LB
 		ceilSum += pr.CeilLB
@@ -644,7 +645,7 @@ func runOnce(core *matrix.Problem, zBest int, opt Options, rng *rand.Rand, windo
 		// Per-restart re-reductions stay sequential: the portfolio
 		// already spreads the restarts across the worker budget, so
 		// sharding these small fixpoints too would only oversubscribe.
-		red := matrix.ReduceTracked(next)
+		red := matrix.ReduceBudgetWorkers(next, nil, 1)
 		if red.Infeasible {
 			// Dropping columns emptied a row: no improving solution
 			// completes this path.

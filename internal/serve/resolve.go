@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"container/list"
 	"net/http"
 	"strconv"
-	"sync"
+	"strings"
 
 	"ucp"
+	"ucp/internal/solvecache"
 )
 
 // The keep/parent protocol: a request with `keep` retains the solve's
@@ -24,56 +24,30 @@ import (
 // a durable store.
 const maxKeptStates = 64
 
-// keepStore is the id → retained-state LRU behind the keep/parent
-// protocol.  Ids are generated server-side ("s1", "s2", ...) and never
-// reused within a process.
-type keepStore struct {
-	mu   sync.Mutex
-	ll   *list.List // front = most recently used
-	m    map[string]*list.Element
-	next int64
+// Retained states live in a solvecache.Arena keyed by their id's
+// number: ids are generated server-side ("s1", "s2", ...) from
+// Server.keepSeq and never reused within a process.
+
+// keepID stores a retained state under a fresh id and returns the id.
+func (s *Server) keepID(r *ucp.Resolvable) string {
+	n := s.keepSeq.Add(1)
+	s.keeps.Put(solvecache.Key{Lo: n}, r)
+	return "s" + strconv.FormatUint(n, 10)
 }
 
-type keepEntry struct {
-	id    string
-	state *ucp.Resolvable
-}
-
-func newKeepStore() *keepStore {
-	return &keepStore{ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-// get looks an id up, refreshing its recency on a hit.
-func (k *keepStore) get(id string) (*ucp.Resolvable, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	el, ok := k.m[id]
+// kept looks a retained state up by id, refreshing its recency on a
+// hit.  An id the server cannot have issued (one that does not
+// round-trip through keepID's format, such as "s01") is a miss.
+func (s *Server) kept(id string) (*ucp.Resolvable, bool) {
+	n, err := strconv.ParseUint(strings.TrimPrefix(id, "s"), 10, 64)
+	if err != nil || "s"+strconv.FormatUint(n, 10) != id {
+		return nil, false
+	}
+	v, ok := s.keeps.Get(solvecache.Key{Lo: n})
 	if !ok {
 		return nil, false
 	}
-	k.ll.MoveToFront(el)
-	return el.Value.(*keepEntry).state, true
-}
-
-// put stores a state under a fresh id and returns the id.
-func (k *keepStore) put(r *ucp.Resolvable) string {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.next++
-	id := "s" + strconv.FormatInt(k.next, 10)
-	k.m[id] = k.ll.PushFront(&keepEntry{id: id, state: r})
-	for k.ll.Len() > maxKeptStates {
-		old := k.ll.Back()
-		k.ll.Remove(old)
-		delete(k.m, old.Value.(*keepEntry).id)
-	}
-	return id
-}
-
-func (k *keepStore) len() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.ll.Len()
+	return v.(*ucp.Resolvable), true
 }
 
 // ResolveStats is the /stats `resolve` object: how the incremental
@@ -105,7 +79,7 @@ func (s *Server) resolveStats() ResolveStats {
 		Fallbacks:      rs.Fallbacks,
 		CompsReused:    rs.CompsReused,
 		CompsSolved:    rs.CompsSolved,
-		Kept:           s.keeps.len(),
+		Kept:           s.keeps.Stats().Entries,
 		UnknownParents: s.unknownParents.Load(),
 	}
 	if n := rs.CompsReused + rs.CompsSolved; n > 0 {
@@ -130,7 +104,7 @@ func (s *Server) solveSCGKeep(j *job, bud ucp.Budget) (Response, int) {
 	var res *ucp.SCGResult
 	var keep *ucp.Resolvable
 	if j.req.Parent != "" {
-		if parent, ok := s.keeps.get(j.req.Parent); ok {
+		if parent, ok := s.kept(j.req.Parent); ok {
 			d := ucp.DeltaBetween(parent.Problem(), j.prob)
 			res, keep = s.solver.Resolve(d, parent, opt, ucp.ResolveOptions{})
 		} else {
@@ -155,6 +129,6 @@ func (s *Server) solveSCGKeep(j *job, bud ucp.Budget) (Response, int) {
 		Optimal:     res.ProvedOptimal,
 		Interrupted: res.Interrupted,
 		StopReason:  stopString(res.Interrupted, res.StopReason),
-		SolveID:     s.keeps.put(keep),
+		SolveID:     s.keepID(keep),
 	}, http.StatusOK
 }

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
 	"ucp"
+	"ucp/internal/solvecache"
 )
 
 // biggerProblem is tinyProblem plus a redundant superset row — close
@@ -118,21 +120,30 @@ func TestKeepValidation(t *testing.T) {
 	}
 }
 
-// TestKeepStoreLRU: the keep store is bounded and expires the oldest
-// ids first.
+// TestKeepStoreLRU: the retained states are bounded and expire the
+// oldest ids first; ids the server cannot have issued miss.
 func TestKeepStoreLRU(t *testing.T) {
-	ks := newKeepStore()
+	s := &Server{keeps: solvecache.NewArena(maxKeptStates)}
 	var first string
 	for i := 0; i <= maxKeptStates; i++ {
-		id := ks.put(nil)
+		id := s.keepID(nil)
 		if i == 0 {
 			first = id
 		}
 	}
-	if ks.len() != maxKeptStates {
-		t.Fatalf("len = %d, want %d", ks.len(), maxKeptStates)
+	if n := s.keeps.Stats().Entries; n != maxKeptStates {
+		t.Fatalf("entries = %d, want %d", n, maxKeptStates)
 	}
-	if _, ok := ks.get(first); ok {
+	if _, ok := s.kept(first); ok {
 		t.Fatalf("oldest id %s should have been evicted", first)
+	}
+	last := "s" + strconv.Itoa(maxKeptStates+1)
+	if _, ok := s.kept(last); !ok {
+		t.Fatalf("newest id %s missing", last)
+	}
+	for _, id := range []string{"s065", "s", "x65", "65", "s+65", "s-1"} {
+		if _, ok := s.kept(id); ok {
+			t.Errorf("id %q resolved to a retained state", id)
+		}
 	}
 }

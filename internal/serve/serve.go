@@ -25,6 +25,7 @@ import (
 	"ucp"
 	"ucp/internal/budget"
 	"ucp/internal/serve/faultinject"
+	"ucp/internal/solvecache"
 )
 
 // Config sizes the service.  The zero value of any field selects the
@@ -160,7 +161,7 @@ type Server struct {
 	sched  *scheduler
 	fault  *faultinject.Injector
 	mux    *http.ServeMux
-	keeps  *keepStore
+	keeps  *solvecache.Arena // retained states of the keep/parent protocol
 
 	wg sync.WaitGroup // worker goroutines
 
@@ -182,7 +183,8 @@ type Server struct {
 	shardRespilled, shardDegraded atomic.Int64
 	shardPeak                     atomic.Int64 // max over sharded solves
 
-	unknownParents atomic.Int64 // parent ids that missed the keep store
+	keepSeq        atomic.Uint64 // last issued keep id number
+	unknownParents atomic.Int64  // parent ids that missed the retained states
 }
 
 // recordZDD folds one solve's implicit-phase profile into the /stats
@@ -231,7 +233,7 @@ func New(cfg Config) *Server {
 		sched:   newScheduler(cfg.MaxQueue, cfg.MaxInflightBytes),
 		fault:   cfg.Fault,
 		cancels: make(map[*job]context.CancelFunc),
-		keeps:   newKeepStore(),
+		keeps:   solvecache.NewArena(maxKeptStates),
 	}
 	s.solver = ucp.NewSolver(ucp.SolverOptions{Cache: s.cache})
 	s.mux = http.NewServeMux()

@@ -97,8 +97,12 @@ func (c *resolveCounters) snapshot() ResolveStats {
 // reductions (the ZDD phase has no replayable row correspondence), so
 // on instances where the implicit phase matters the first solve can
 // be slower than SolveSCG — the payoff is every subsequent Resolve.
-// The state is also admitted to the Solver's ancestor arena, keyed by
-// the problem's structural fingerprint.
+// A kept solve also skips SolveSCG's split of the input into connected
+// parts, so it equals SolveSCG with DisableImplicit bit for bit only on
+// connected inputs; on a disconnected one both are verified covers
+// with valid bounds, but they may differ.  The state is also admitted
+// to the Solver's ancestor arena, keyed by the problem's structural
+// fingerprint.
 func (s *Solver) SolveSCGKeep(p *Problem, opt SCGOptions) (*SCGResult, *Resolvable) {
 	res, st := scg.SolveKeep(p, opt)
 	keep := &Resolvable{state: st}

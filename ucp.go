@@ -97,7 +97,7 @@ type Reduction = matrix.Reduction
 
 // ReduceProblem applies essential-column extraction and row/column
 // dominance until fixpoint, returning the cyclic core.
-func ReduceProblem(p *Problem) *Reduction { return matrix.Reduce(p) }
+func ReduceProblem(p *Problem) *Reduction { return matrix.ReduceBudgetWorkers(p, nil, 1) }
 
 // SCGOptions configures the ZDD_SCG solver; the zero value uses the
 // paper's parameters (α = 2, ĉ = 0.001, μ̂ = 0.999, DualPen = 100,
